@@ -9,6 +9,7 @@
 //	pimsim trace pack
 //	pimsim trace verify [-prune]
 //	pimsim [flags] run all -stats -report r.json -metrics-addr host:port
+//	pimsim -cpuprofile cpu.prof [flags] run all
 //
 // With no arguments it runs every experiment serially. The `run`
 // subcommand computes the selected experiments (or all of them)
@@ -48,6 +49,11 @@
 // /healthz while the run is in flight. None of it touches stdout: output
 // stays byte-identical with observability on or off (gated in
 // scripts/check.sh, enforced statically by the obsout analyzer).
+//
+// -cpuprofile writes a CPU profile of the whole command (any subcommand)
+// in the runtime/pprof format, for `go tool pprof`. It is written when the
+// command completes normally; an error exit leaves it incomplete. Like the
+// observability flags, it does not touch stdout.
 package main
 
 import (
@@ -55,6 +61,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime/pprof"
 	"strings"
 
 	"gopim"
@@ -169,6 +176,7 @@ func main() {
 	replayFlag := flag.String("replay", "compiled", "trace replay engine: compiled (line-stream) or interp (reference interpreter); output is byte-identical")
 	storeFlag := flag.String("tracestore", "auto", "persistent trace store directory: auto ($GOPIM_TRACE_DIR or the user cache dir), off, or a path")
 	pruneFlag := flag.Bool("prune", false, "with `trace verify`: delete corrupt entries and stale-version directories")
+	cpuProfileFlag := flag.String("cpuprofile", "", "write a CPU profile of the command to this `file`")
 	var oc obsConfig
 	oc.register(flag.CommandLine)
 	flag.Usage = usage
@@ -195,6 +203,10 @@ func main() {
 		os.Exit(2)
 	}
 	opts := experiments.Options{Scale: scale, Workers: *workersFlag}
+
+	if *cpuProfileFlag != "" {
+		defer startCPUProfile(*cpuProfileFlag)()
+	}
 
 	names := flag.Args()
 	if len(names) > 0 && names[0] == "trace" {
@@ -304,6 +316,27 @@ func main() {
 	}
 	waitStore(opts)
 	finishObs(reg, srv, oc, meta, obs.Since(runStart), times)
+}
+
+// startCPUProfile starts profiling the process into path and returns the
+// function that stops it and closes the file.
+func startCPUProfile(path string) (stop func()) {
+	f, err := os.Create(path)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "pimsim: %v\n", err)
+		os.Exit(1)
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		fmt.Fprintf(os.Stderr, "pimsim: starting CPU profile: %v\n", err)
+		os.Exit(1)
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "pimsim: writing CPU profile: %v\n", err)
+			os.Exit(1)
+		}
+	}
 }
 
 // waitStore lets pending asynchronous store writes land before exit, so a

@@ -1,6 +1,7 @@
 package vp9
 
 import (
+	"fmt"
 	"testing"
 
 	"gopim/internal/video"
@@ -60,16 +61,6 @@ func BenchmarkDecode360p(b *testing.B) {
 	}
 }
 
-func BenchmarkSubPelInterpolation(b *testing.B) {
-	ref := video.NewSynth(640, 368, 3, 7).Frame(0)
-	var dst [16 * 16]uint8
-	var st MCStats
-	b.SetBytes(16 * 16)
-	for i := 0; i < b.N; i++ {
-		PredictLuma(dst[:], 16, ref, (i*16)%(640-32), (i*7)%(368-32), 16, 16, MV{X: 5, Y: 3}, &st)
-	}
-}
-
 func BenchmarkDiamondSearch(b *testing.B) {
 	s := video.NewSynth(640, 368, 3, 7)
 	ref, cur := s.Frame(0), s.Frame(1)
@@ -104,5 +95,54 @@ func BenchmarkFrameCompress(b *testing.B) {
 	b.SetBytes(int64(len(f.Y) + len(f.U) + len(f.V)))
 	for i := 0; i < b.N; i++ {
 		CompressFrame(f)
+	}
+}
+
+// BenchmarkPredictLuma times one block prediction per iteration, split by
+// where the block sits (interior: the whole 8-tap apron is inside the
+// frame; edge: a top-left corner block whose apron is clamped), block size
+// and which filter passes run (phase 0 on an axis skips that pass's taps).
+func BenchmarkPredictLuma(b *testing.B) {
+	ref := video.NewSynth(640, 368, 3, 7).Frame(0)
+	kinds := []struct {
+		name string
+		mv   MV
+	}{
+		{"whole-pel", MV{X: 2 * MVPrecision, Y: -MVPrecision}},
+		{"h-only", MV{X: 5, Y: -MVPrecision}},
+		{"v-only", MV{X: 2 * MVPrecision, Y: 3}},
+		{"2-D", MV{X: 5, Y: 3}},
+	}
+	for _, pos := range []struct {
+		name   string
+		bx, by int
+	}{{"interior", 320, 176}, {"edge", 0, 0}} {
+		for _, bs := range []int{8, 16} {
+			for _, k := range kinds {
+				b.Run(fmt.Sprintf("%s/%d/%s", pos.name, bs, k.name), func(b *testing.B) {
+					var dst [16 * 16]uint8
+					var st MCStats
+					b.SetBytes(int64(bs * bs))
+					for i := 0; i < b.N; i++ {
+						PredictLuma(dst[:], 16, ref, pos.bx, pos.by, bs, bs, k.mv, &st)
+					}
+				})
+			}
+		}
+	}
+}
+
+var clipSink *CodedClip
+
+// BenchmarkCodeClipQuick encodes the Quick-scale evaluation clip (the one
+// gopim.EvalClip builds), so a codec slowdown shows up without running the
+// end-to-end experiments.
+func BenchmarkCodeClipQuick(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		clip, err := CodeClip(1280, 704, 3, 28, 77)
+		if err != nil {
+			b.Fatal(err)
+		}
+		clipSink = clip
 	}
 }

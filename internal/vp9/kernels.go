@@ -103,8 +103,6 @@ func allocFrame(ctx *profile.Ctx, name string, f *video.Frame) frameBuffers {
 	return fb
 }
 
-const mcApron = 7 // 8-tap filter support around a block
-
 // traceSubPelMB traces the reference fetch, filtering and prediction write
 // of one 16x16 sub-pel interpolated block at (bx, by) with motion mv.
 func traceSubPelMB(ctx *profile.Ctx, ref frameBuffers, pred *mem.Buffer, bx, by int, mv MV) {
@@ -220,8 +218,6 @@ func SubPelKernel(clip *CodedClip) profile.Kernel {
 					refs[ri] = allocFrame(ctx, fmt.Sprintf("ref%d-%d", n, ri), clip.refFor(n, ri))
 				}
 				ctx.SetPhase("sub-pixel interpolation")
-				var scratch [MBSize * MBSize]uint8
-				var st MCStats
 				for i, d := range clip.Decisions[n] {
 					if !d.Inter {
 						continue
@@ -234,10 +230,8 @@ func SubPelKernel(clip *CodedClip) profile.Kernel {
 								traceSubPelBlock(ctx, refs[d.Ref], pred, bx+(q%2)*8, by+(q/2)*8, d.SubMVs[q], 8)
 							}
 						}
-						PredictLuma(scratch[:], MBSize, clip.refFor(n, d.Ref), bx, by, MBSize, MBSize, d.SubMVs[0], &st)
 					case isSubPel(d.MV):
 						traceSubPelBlock(ctx, refs[d.Ref], pred, bx, by, d.MV, MBSize)
-						PredictLuma(scratch[:], MBSize, clip.refFor(n, d.Ref), bx, by, MBSize, MBSize, d.MV, &st)
 					}
 				}
 			}

@@ -135,14 +135,15 @@ func SubPelRefineBlock(cur, ref *video.Frame, bx, by int, whole [2]int, bs int, 
 		pred = predArr[:bs*bs]
 	}
 	var mcStats MCStats
-	bestCost := sadPred(cur, ref, bx, by, best, pred, bs, &mcStats)
+	var tmp mcTemp
+	bestCost := sadPred(cur, ref, bx, by, best, pred, bs, &mcStats, &tmp)
 	for step := 4; step >= 1; step /= 2 {
 		improved := true
 		for improved {
 			improved = false
 			for _, d := range smallDiamond {
 				cand := MV{X: best.X + d[0]*step, Y: best.Y + d[1]*step}
-				cost := sadPred(cur, ref, bx, by, cand, pred, bs, &mcStats)
+				cost := sadPred(cur, ref, bx, by, cand, pred, bs, &mcStats, &tmp)
 				st.SubPelProbes++
 				if cost < bestCost {
 					bestCost = cost
@@ -156,8 +157,8 @@ func SubPelRefineBlock(cur, ref *video.Frame, bx, by int, whole [2]int, bs int, 
 	return best, bestCost
 }
 
-func sadPred(cur, ref *video.Frame, bx, by int, mv MV, pred []uint8, bs int, mcStats *MCStats) int {
-	PredictLuma(pred, bs, ref, bx, by, bs, bs, mv, mcStats)
+func sadPred(cur, ref *video.Frame, bx, by int, mv MV, pred []uint8, bs int, mcStats *MCStats, tmp *mcTemp) int {
+	predictLuma(pred, bs, ref, bx, by, bs, bs, mv, mcStats, tmp)
 	if bs%8 == 0 && swarInBounds(cur, bx, by, bs) {
 		return sadPredSWAR(cur, bx, by, pred, bs)
 	}

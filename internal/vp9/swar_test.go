@@ -109,9 +109,10 @@ func TestSadPredMatchesScalar(t *testing.T) {
 	const bs = 16
 	pred := make([]uint8, bs*bs)
 	var st MCStats
+	var tmp mcTemp
 	for _, pos := range [][2]int{{0, 0}, {16, 16}, {64 - bs, 64 - bs}, {3, 64 - bs}} {
 		for _, mv := range []MV{{X: 0, Y: 0}, {X: 3, Y: -5}, {X: -17, Y: 9}} {
-			got := sadPred(cur, ref, pos[0], pos[1], mv, pred, bs, &st)
+			got := sadPred(cur, ref, pos[0], pos[1], mv, pred, bs, &st, &tmp)
 			PredictLuma(pred, bs, ref, pos[0], pos[1], bs, bs, mv, &st)
 			var want int
 			for y := 0; y < bs; y++ {

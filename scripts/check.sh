@@ -24,6 +24,14 @@ go vet ./...
 go build ./...
 go test -race -timeout 45m ./...
 
+# Fuzz smoke: the fast PredictLuma against its scalar oracle on arbitrary
+# frames, blocks and vectors, and the decoder on mutated streams (it may
+# reject them, never panic). A crasher lands in testdata/fuzz and fails the
+# run; commit it as a regression seed. The minimization budget is in execs
+# so that time goes to new inputs rather than to shrinking large streams.
+go test -run '^$' -fuzz '^FuzzPredictLuma$' -fuzztime=10s -fuzzminimizetime=50x ./internal/vp9
+go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime=10s -fuzzminimizetime=50x ./internal/vp9
+
 # Replay-equivalence gate: record+replay must match direct execution
 # bit-for-bit for every kernel family on every hardware config.
 go test -race -count=1 -run 'TestReplayEquivalence|TestCache' ./internal/trace
@@ -53,6 +61,12 @@ go build -o "$tmpdir/pimsim" ./cmd/pimsim
 "$tmpdir/pimsim" -tracestore=off -tracecache=on -replay=interp run all > "$tmpdir/interp.txt"
 cmp "$tmpdir/off.txt" "$tmpdir/on.txt"
 cmp "$tmpdir/on.txt" "$tmpdir/interp.txt"
+
+# CPU-profile gate: -cpuprofile writes a non-empty profile and leaves stdout
+# byte-identical.
+"$tmpdir/pimsim" -tracestore=off -cpuprofile "$tmpdir/cpu.prof" run all > "$tmpdir/cpuprof.txt"
+cmp "$tmpdir/on.txt" "$tmpdir/cpuprof.txt"
+test -s "$tmpdir/cpu.prof"
 
 # Explore smoke: a seeded random sweep renders in all three formats, and
 # its output is byte-identical across worker counts.
