@@ -69,6 +69,7 @@ import (
 	"gopim/internal/obs"
 	"gopim/internal/par"
 	"gopim/internal/trace"
+	"gopim/internal/vp9"
 )
 
 // obsConfig carries the observability flags (-stats, -report,
@@ -105,6 +106,7 @@ func setupObs(oc obsConfig, opts *experiments.Options) (*obs.Registry, *obs.Serv
 	reg := obs.NewRegistry()
 	opts.Obs = reg
 	par.SetObs(reg)
+	vp9.SetObs(reg)
 	if opts.Traces != nil {
 		opts.Traces.Obs = reg
 		reg.AddSource(obs.PrefixTraceCache, opts.Traces)
@@ -145,6 +147,7 @@ func finishObs(reg *obs.Registry, srv *obs.Server, oc obsConfig, meta obs.RunMet
 	// Close used to strand the serve goroutine and its handlers.
 	srv.Close()
 	par.SetObs(nil)
+	vp9.SetObs(nil)
 	if reportErr != nil {
 		fmt.Fprintf(os.Stderr, "pimsim: %v\n", reportErr)
 		os.Exit(1)

@@ -33,6 +33,7 @@ import (
 	"gopim/internal/par"
 	"gopim/internal/serve"
 	"gopim/internal/trace"
+	"gopim/internal/vp9"
 )
 
 func main() {
@@ -58,6 +59,8 @@ func main() {
 	reg := obs.NewRegistry()
 	par.SetObs(reg)
 	defer par.SetObs(nil)
+	vp9.SetObs(reg)
+	defer vp9.SetObs(nil)
 
 	srv := serve.NewServer(serve.Config{
 		JobWorkers: *jobWorkers,

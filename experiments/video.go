@@ -9,19 +9,11 @@ import (
 	"gopim/internal/vp9"
 )
 
-func videoClip(o Options) (*vp9.CodedClip, error) {
-	return gopim.EvalClip(o.Scale), nil
-}
-
 // Fig10 reproduces Figure 10: the VP9 software decoder's energy by
 // function.
 func Fig10(o Options) ([]PhaseFraction, error) {
-	clip, err := videoClip(o)
-	if err != nil {
-		return nil, err
-	}
 	ev := o.evaluator()
-	_, phases := o.run(profile.SoC(), vp9.DecodeKernel(clip))
+	_, phases := o.run(profile.SoC(), vp9.DecodeKernel(gopim.EvalClipSpec(o.Scale)))
 	order := []string{vp9.PhaseSubPel, vp9.PhaseOtherMC, vp9.PhaseDeblock, vp9.PhaseEntropy, vp9.PhaseInvXfrm}
 	return fractionsOf(ev, phases, order, "Other"), nil
 }
@@ -37,12 +29,8 @@ type Fig11Result struct {
 
 // Fig11 reproduces Figure 11.
 func Fig11(o Options) (Fig11Result, error) {
-	clip, err := videoClip(o)
-	if err != nil {
-		return Fig11Result{}, err
-	}
 	ev := o.evaluator()
-	_, phases := o.run(profile.SoC(), vp9.DecodeKernel(clip))
+	_, phases := o.run(profile.SoC(), vp9.DecodeKernel(gopim.EvalClipSpec(o.Scale)))
 	res := Fig11Result{ByPhase: map[string]energy.Breakdown{}}
 	for _, name := range sortedPhaseNames(phases) {
 		b := ev.CPUPhaseEnergy(phases[name])
@@ -59,12 +47,8 @@ func Fig11(o Options) (Fig11Result, error) {
 // Fig15 reproduces Figure 15: the VP9 software encoder's energy by
 // function.
 func Fig15(o Options) ([]PhaseFraction, error) {
-	clip, err := videoClip(o)
-	if err != nil {
-		return nil, err
-	}
 	ev := o.evaluator()
-	_, phases := o.run(profile.SoC(), vp9.EncodeKernel(clip))
+	_, phases := o.run(profile.SoC(), vp9.EncodeKernel(gopim.EvalClipSpec(o.Scale)))
 	order := []string{vp9.PhaseME, vp9.PhaseIntraPred, vp9.PhaseTransform, vp9.PhaseQuant, vp9.PhaseDeblock}
 	return fractionsOf(ev, phases, order, "Other"), nil
 }
@@ -101,20 +85,12 @@ func hwRows(workers int, p vp9.HWParams, model func(w, h int, c bool, p vp9.HWPa
 
 // Fig12 reproduces Figure 12: hardware decoder off-chip traffic.
 func Fig12(o Options) ([]HWTrafficRow, error) {
-	clip, err := videoClip(o)
-	if err != nil {
-		return nil, err
-	}
-	return hwRows(o.workers(), vp9.MeasureHWParams(clip), vp9.HWDecodeTraffic), nil
+	return hwRows(o.workers(), vp9.MeasureHWParams(gopim.EvalClip(o.Scale)), vp9.HWDecodeTraffic), nil
 }
 
 // Fig16 reproduces Figure 16: hardware encoder off-chip traffic.
 func Fig16(o Options) ([]HWTrafficRow, error) {
-	clip, err := videoClip(o)
-	if err != nil {
-		return nil, err
-	}
-	return hwRows(o.workers(), vp9.MeasureHWParams(clip), vp9.HWEncodeTraffic), nil
+	return hwRows(o.workers(), vp9.MeasureHWParams(gopim.EvalClip(o.Scale)), vp9.HWEncodeTraffic), nil
 }
 
 // Fig20Row is one bar pair of Figure 20: a software video kernel under one
@@ -133,11 +109,6 @@ type Fig20Row struct {
 // interpolation, the deblocking filter, and motion estimation under
 // CPU-only, PIM-core and PIM-accelerator execution.
 func Fig20(o Options) ([]Fig20Row, error) {
-	clip, err := videoClip(o)
-	if err != nil {
-		return nil, err
-	}
-	_ = clip // targets share the cached evaluation clip
 	ev := o.evaluator()
 	var targets []gopim.Target
 	for _, t := range gopim.Targets(o.Scale) {
@@ -184,11 +155,7 @@ type Fig21Row struct {
 // encoder under the baseline, PIM-core, and PIM-accelerator designs, with
 // and without lossless frame compression, for one HD frame.
 func Fig21(o Options) ([]Fig21Row, error) {
-	clip, err := videoClip(o)
-	if err != nil {
-		return nil, err
-	}
-	p := vp9.MeasureHWParams(clip)
+	p := vp9.MeasureHWParams(gopim.EvalClip(o.Scale))
 	params := energy.Default()
 	const decodeOpsPerPixel = 12 // MC filters + deblock datapath
 	const encodeOpsPerPixel = 30 // ME SADs dominate

@@ -17,8 +17,6 @@
 package gopim
 
 import (
-	"sync"
-
 	"gopim/internal/browser"
 	"gopim/internal/core"
 	"gopim/internal/dram"
@@ -112,32 +110,21 @@ const (
 	Standard
 )
 
-// EvalClip returns the shared synthetic evaluation clip for the given
-// scale, real-encoded once and cached (encoding large clips is the
-// dominant setup cost of the video experiments). Even Quick working sets
-// exceed the 2 MiB LLC, as the paper's inputs do.
-func EvalClip(s Scale) *vp9.CodedClip {
-	clipOnce.Lock()
-	defer clipOnce.Unlock()
-	if c, ok := clipCache[s]; ok {
-		return c
-	}
-	w, h, frames := 1280, 704, 3
+// EvalClipSpec names the synthetic evaluation clip for the given scale.
+// Even Quick working sets exceed the 2 MiB LLC, as the paper's inputs do.
+// The video targets are built from the spec, so listing them encodes
+// nothing; the clip is encoded the first time a video kernel runs.
+func EvalClipSpec(s Scale) vp9.ClipSpec {
 	if s == Standard {
-		w, h, frames = 1920, 1088, 4
+		return vp9.ClipSpec{W: 1920, H: 1088, Frames: 4, QIndex: 28, Seed: 77}
 	}
-	clip, err := vp9.CodeClip(w, h, frames, 28, 77)
-	if err != nil {
-		panic("gopim: building evaluation clip: " + err.Error())
-	}
-	clipCache[s] = clip
-	return clip
+	return vp9.ClipSpec{W: 1280, H: 704, Frames: 3, QIndex: 28, Seed: 77}
 }
 
-var (
-	clipOnce  sync.Mutex
-	clipCache = map[Scale]*vp9.CodedClip{}
-)
+// EvalClip returns the evaluation clip for the given scale, real-encoded
+// once per process (encoding large clips is the dominant setup cost of the
+// video experiments).
+func EvalClip(s Scale) *vp9.CodedClip { return EvalClipSpec(s).Coded() }
 
 // Targets returns the paper's PIM targets (§§4–7), instrumented and
 // parameterized for the given scale, with the per-target accelerator areas
@@ -156,7 +143,7 @@ func Targets(s Scale) []Target {
 	pages := pick(1024, 4096)
 	gemmDim := pick(768, 1024)
 
-	clip := EvalClip(s)
+	clip := EvalClipSpec(s) // encoded only when a video kernel runs
 
 	return []Target{
 		{

@@ -4,6 +4,9 @@ import (
 	"testing"
 
 	"gopim"
+	"gopim/internal/obs"
+	"gopim/internal/profile"
+	"gopim/internal/vp9"
 )
 
 func TestTargetsCoverAllWorkloads(t *testing.T) {
@@ -45,6 +48,50 @@ func TestEvalClipCached(t *testing.T) {
 	}
 	if len(a.Frames) == 0 || len(a.Streams) != len(a.Frames) {
 		t.Error("clip incomplete")
+	}
+}
+
+// TestEvalClipPinned pins the Quick evaluation clip's content. The video
+// kernels' trace keys name the clip by its spec and vp9.CodecVersion, not
+// by this hash, so a codec change that alters the clip without a version
+// bump would let stale store entries replay as current.
+func TestEvalClipPinned(t *testing.T) {
+	const want = "1280x704 q28 f3 h80aeea0e8ec32b4e"
+	if got := gopim.EvalClip(gopim.Quick).Fingerprint(); got != want {
+		t.Errorf("evaluation clip fingerprint %q, want %q: the codec's output changed; "+
+			"bump vp9.CodecVersion so stored video traces miss, then update this pin", got, want)
+	}
+}
+
+// TestTargetsDoNoCodecWork pins the lazy video kernels: listing the targets
+// encodes nothing (the Standard clip is never encoded in this package's
+// tests, so that half holds whatever order the tests run in), and the
+// video kernels are keyed by the evaluation clip's spec.
+func TestTargetsDoNoCodecWork(t *testing.T) {
+	reg := obs.NewRegistry()
+	vp9.SetObs(reg)
+	defer vp9.SetObs(nil)
+	for _, s := range []gopim.Scale{gopim.Quick, gopim.Standard} {
+		spec := gopim.EvalClipSpec(s)
+		want := map[string]string{
+			"Sub-Pixel Interpolation": "vp9-subpel " + spec.Key(),
+			"Deblocking Filter":       "vp9-deblock " + spec.Key(),
+			"Motion Estimation":       "vp9-me " + spec.Key(),
+		}
+		for _, tgt := range gopim.Targets(s) {
+			if k, ok := want[tgt.Name]; ok {
+				if got := profile.KeyOf(tgt.Kernel); got != k {
+					t.Errorf("scale %d: %s key %q, want %q", s, tgt.Name, got, k)
+				}
+				delete(want, tgt.Name)
+			}
+		}
+		if len(want) != 0 {
+			t.Errorf("scale %d: video targets missing: %v", s, want)
+		}
+	}
+	if n := reg.Counter("vp9.encodes").Value(); n != 0 {
+		t.Errorf("Targets encoded %d clips, want 0", n)
 	}
 }
 

@@ -216,6 +216,7 @@ func TestBuildReportDerived(t *testing.T) {
 	}))
 	r.Counter("par.worker.busy_ns").Add(900)
 	r.Counter("par.worker.idle_ns").Add(100)
+	r.Counter("vp9.encodes").Add(1)
 	rep := BuildReport(r, RunMeta{Command: "run", Scale: "quick", ReplayEngine: "compiled", Workers: 4}, 1234,
 		[]ExperimentTime{{Name: "fig5", WallNS: 10}})
 	if rep.Version != ReportVersion {
@@ -232,6 +233,9 @@ func TestBuildReportDerived(t *testing.T) {
 	}
 	if got := rep.Derived.KernelExecutions; got != 20 {
 		t.Fatalf("kernel executions = %d, want 20", got)
+	}
+	if got := rep.Derived.CodecEncodes; got != 1 {
+		t.Fatalf("codec encodes = %d, want 1", got)
 	}
 }
 
@@ -282,7 +286,7 @@ func TestReportWriteTextMentionsKeySections(t *testing.T) {
 		"pimsim run report",
 		"phase.replay.compiled",
 		"trace cache: 100.0% hit rate",
-		"kernel executions: 0",
+		"kernel executions: 0, codec encodes: 0",
 		"fig9",
 	} {
 		if !strings.Contains(out, want) {

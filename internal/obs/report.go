@@ -52,6 +52,10 @@ type Derived struct {
 	// plus unkeyed direct executions) — 0 on a fully warm run, which CI
 	// asserts to keep PR 6's "cold ≈ warm" claim continuously true.
 	KernelExecutions int64 `json:"kernel_executions"`
+	// CodecEncodes counts evaluation-clip encodes (vp9.encodes). It sits
+	// beside KernelExecutions because an encode runs outside every kernel
+	// record yet can cost seconds: a warm explore must report 0 of both.
+	CodecEncodes int64 `json:"codec_encodes"`
 }
 
 // Report is the versioned, machine-readable end-of-run record: run
@@ -92,6 +96,7 @@ func BuildReport(r *Registry, meta RunMeta, wallNS int64, experiments []Experime
 			StoreHitRate:      ratio(store("hits"), store("hits")+store("misses")+store("corrupt")),
 			WorkerUtilization: ratio(c["par.worker.busy_ns"], c["par.worker.busy_ns"]+c["par.worker.idle_ns"]),
 			KernelExecutions:  cache("records") + cache("misses"),
+			CodecEncodes:      c["vp9.encodes"],
 		},
 	}
 }
@@ -179,5 +184,5 @@ func (rep *Report) WriteText(w io.Writer) {
 		}
 		fmt.Fprintf(w, "experiments: %d computed; slowest: %s\n", len(rep.Experiments), strings.Join(parts, ", "))
 	}
-	fmt.Fprintf(w, "kernel executions: %d\n", rep.Derived.KernelExecutions)
+	fmt.Fprintf(w, "kernel executions: %d, codec encodes: %d\n", rep.Derived.KernelExecutions, rep.Derived.CodecEncodes)
 }

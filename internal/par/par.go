@@ -44,12 +44,12 @@ func Workers(override int) int {
 // ForEach runs fn(i) for every i in [0, n) using at most workers
 // goroutines (capped at GOMAXPROCS: extra goroutines cannot run
 // concurrently anyway and their scheduling overhead is measurable).
-// Indices are handed out through a shared counter in chunks of
-// several indices — about four chunks per worker — so uneven work items
-// still balance across workers while small, uniform items don't pay a
-// counter handoff each: with tiny units the per-index atomic (and the cache
-// line it bounces) used to cost more than the work itself. With workers <= 1
-// (or n == 1) it runs inline, in index order, on the calling goroutine.
+// Workers take one index at a time from a shared counter, so no two
+// items are tied to one worker: every caller's items take milliseconds
+// (experiments, targets, replay units, lint cells), and the longest ones
+// must be free to run side by side rather than back to back. With
+// workers <= 1 (or n == 1) it runs inline, in index order, on the calling
+// goroutine.
 //
 // A panic in fn propagates to the caller after all workers have stopped,
 // matching the behaviour of the same panic in a serial loop.
@@ -84,13 +84,9 @@ func ForEach(workers, n int, fn func(i int)) {
 	if workers > n {
 		workers = n
 	}
-	chunk := n / (workers * 4)
-	if chunk < 1 {
-		chunk = 1
-	}
-	// Resolve the utilization counters once per ForEach, not per chunk: when
+	// Resolve the utilization counters once per ForEach, not per item: when
 	// observability is off (the default) workers pay a single nil check, and
-	// when it is on the hot loop does two clock reads per chunk plus a local
+	// when it is on the hot loop does two clock reads per item plus a local
 	// add — the shared counters are only touched once per worker, at exit.
 	var busyCtr, idleCtr *obs.Counter
 	if reg := obsReg.Load(); reg != nil {
@@ -124,25 +120,17 @@ func ForEach(workers, n int, fn func(i int)) {
 				}
 			}()
 			for {
-				start := int(next.Add(int64(chunk))) - chunk
-				if start >= n {
+				i := int(next.Add(1)) - 1
+				if i >= n {
 					return
-				}
-				end := start + chunk
-				if end > n {
-					end = n
 				}
 				if busyCtr != nil {
 					t0 := obs.Now()
-					for i := start; i < end; i++ {
-						fn(i)
-					}
+					fn(i)
 					busyNS += obs.Since(t0)
 					continue
 				}
-				for i := start; i < end; i++ {
-					fn(i)
-				}
+				fn(i)
 			}
 		}()
 	}

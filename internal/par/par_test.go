@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"gopim/internal/obs"
 )
@@ -82,6 +83,33 @@ func TestForEachCapsWorkersAtGOMAXPROCS(t *testing.T) {
 	}
 	if len(order) != 10 {
 		t.Fatalf("ran %d of 10 indices", len(order))
+	}
+}
+
+// TestForEachLastItemsRunConcurrently pins one-index-at-a-time dispatch:
+// with two workers, the last two of 18 items must be able to run at the
+// same time. Each waits for the other at a rendezvous; handing out indices
+// in chunks of two put both on one worker, back to back, and the first of
+// them timed out waiting for a partner that could not start.
+func TestForEachLastItemsRunConcurrently(t *testing.T) {
+	old := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(old)
+	const n = 18
+	meet := make(chan struct{})
+	var missed atomic.Int32
+	ForEach(2, n, func(i int) {
+		if i < n-2 {
+			return
+		}
+		select {
+		case meet <- struct{}{}:
+		case <-meet:
+		case <-time.After(5 * time.Second):
+			missed.Add(1)
+		}
+	})
+	if m := missed.Load(); m != 0 {
+		t.Fatalf("%d of the last two items waited alone: they ran back to back on one worker", m)
 	}
 }
 

@@ -19,14 +19,8 @@ func hardwareConfigs() []profile.Hardware {
 	return []profile.Hardware{profile.SoC(), profile.PIMCore(), profile.PIMAcc()}
 }
 
-// testClip builds a tiny coded clip once for the vp9 kernel families.
-var testClip = func() *vp9.CodedClip {
-	clip, err := vp9.CodeClip(128, 128, 2, 30, 7)
-	if err != nil {
-		panic(err)
-	}
-	return clip
-}()
+// testClip is a tiny clip for the vp9 kernel families.
+var testClip = vp9.ClipSpec{W: 128, H: 128, Frames: 2, QIndex: 30, Seed: 7}
 
 // familyKernels returns one representative kernel per registered kernel
 // family: texture, blit, lzo (compress + decompress), qgemm, vp9, browser.

@@ -2,7 +2,6 @@ package vp9
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"gopim/internal/mem"
 	"gopim/internal/profile"
@@ -13,78 +12,9 @@ import (
 // replays real codec work — the motion vectors, mode decisions and
 // reconstructions of an actual encode of a synthetic clip — against
 // simulated memory, so the cache/DRAM models see the true access pattern
-// of sub-pixel interpolation, deblocking and motion estimation.
-
-// CodedClip bundles a synthetic clip with its real encode artifacts.
-type CodedClip struct {
-	Cfg       Config
-	Frames    []*video.Frame
-	Recons    []*video.Frame
-	Streams   [][]byte
-	Decisions [][]Decision // per frame, raster macro-block order
-	EncStats  Stats
-
-	fingerprint string // content hash, set by CodeClip; keys the trace cache
-}
-
-// Fingerprint returns a string identifying the clip's content for
-// memoization: configuration, frame count, and a hash of the coded
-// bitstreams (which pin down the frames and decisions that produced them).
-// Clips built outside CodeClip hash on demand.
-func (c *CodedClip) Fingerprint() string {
-	if c.fingerprint == "" {
-		return c.computeFingerprint()
-	}
-	return c.fingerprint
-}
-
-func (c *CodedClip) computeFingerprint() string {
-	h := fnv.New64a()
-	for _, s := range c.Streams {
-		h.Write(s)
-	}
-	return fmt.Sprintf("%dx%d q%d f%d h%016x",
-		c.Cfg.Width, c.Cfg.Height, c.Cfg.QIndex, len(c.Frames), h.Sum64())
-}
-
-// CodeClip encodes nFrames of synthetic w x h video and collects the
-// decisions the instrumented kernels replay.
-func CodeClip(w, h, nFrames, qIndex int, seed uint32) (*CodedClip, error) {
-	cfg := Config{Width: w, Height: h, QIndex: qIndex}
-	enc, err := NewEncoder(cfg)
-	if err != nil {
-		return nil, err
-	}
-	clip := &CodedClip{Cfg: cfg.withDefaults()}
-	var current []Decision
-	enc.OnMB = func(mbx, mby int, d Decision) { current = append(current, d) }
-	synth := video.NewSynth(w, h, 4, seed)
-	for i := 0; i < nFrames; i++ {
-		src := synth.Frame(i)
-		current = nil
-		data, recon, err := enc.Encode(src)
-		if err != nil {
-			return nil, err
-		}
-		clip.Frames = append(clip.Frames, src)
-		clip.Recons = append(clip.Recons, recon)
-		clip.Streams = append(clip.Streams, data)
-		clip.Decisions = append(clip.Decisions, append([]Decision(nil), current...))
-	}
-	clip.EncStats = enc.Stats
-	clip.fingerprint = clip.computeFingerprint()
-	return clip, nil
-}
-
-// refFor returns the reference frame the decoder would use for frame n,
-// reference slot ri (recons are post-deblock, most recent first).
-func (c *CodedClip) refFor(n, ri int) *video.Frame {
-	idx := n - 1 - ri
-	if idx < 0 {
-		idx = 0
-	}
-	return c.Recons[idx]
-}
+// of sub-pixel interpolation, deblocking and motion estimation. Kernels
+// are built from a ClipSpec: name and key come from the spec, and the body
+// fetches the coded clip (spec.Coded) only when the kernel runs.
 
 // frameBuffers holds one frame's planes in simulated memory.
 type frameBuffers struct {
@@ -205,11 +135,12 @@ func clampInt(v, lo, hi int) int {
 
 // SubPelKernel returns the sub-pixel interpolation PIM target: replaying
 // every sub-pel motion-compensated block of the clip (paper §6.2.2).
-func SubPelKernel(clip *CodedClip) profile.Kernel {
+func SubPelKernel(spec ClipSpec) profile.Kernel {
 	return profile.KernelFunc{
-		KernelName: fmt.Sprintf("sub-pixel interpolation %dx%d", clip.Cfg.Width, clip.Cfg.Height),
-		Key:        "vp9-subpel " + clip.Fingerprint(),
+		KernelName: fmt.Sprintf("sub-pixel interpolation %dx%d", spec.W, spec.H),
+		Key:        "vp9-subpel " + spec.Key(),
 		Fn: func(ctx *profile.Ctx) {
+			clip := spec.Coded()
 			pred := ctx.Alloc("prediction", MBSize*MBSize)
 			mbCols := clip.Cfg.Width / MBSize
 			for n := 1; n < len(clip.Frames); n++ {
@@ -241,11 +172,12 @@ func SubPelKernel(clip *CodedClip) profile.Kernel {
 
 // DeblockKernel returns the deblocking filter PIM target: filtering every
 // reconstructed frame of the clip (paper §6.2.2).
-func DeblockKernel(clip *CodedClip) profile.Kernel {
+func DeblockKernel(spec ClipSpec) profile.Kernel {
 	return profile.KernelFunc{
-		KernelName: fmt.Sprintf("deblocking filter %dx%d", clip.Cfg.Width, clip.Cfg.Height),
-		Key:        "vp9-deblock " + clip.Fingerprint(),
+		KernelName: fmt.Sprintf("deblocking filter %dx%d", spec.W, spec.H),
+		Key:        "vp9-deblock " + spec.Key(),
 		Fn: func(ctx *profile.Ctx) {
+			clip := spec.Coded()
 			for n := 0; n < len(clip.Recons); n++ {
 				fb := allocFrame(ctx, fmt.Sprintf("recon%d", n), clip.Recons[n])
 				ctx.SetPhase("deblocking filter")
@@ -285,11 +217,12 @@ func traceDeblockPlane(ctx *profile.Ctx, plane *mem.Buffer, w, h int) {
 // MEKernel returns the motion estimation PIM target: re-running diamond
 // search plus sub-pel refinement over the clip's frames against up to
 // three reference frames (paper §7.2.2).
-func MEKernel(clip *CodedClip) profile.Kernel {
+func MEKernel(spec ClipSpec) profile.Kernel {
 	return profile.KernelFunc{
-		KernelName: fmt.Sprintf("motion estimation %dx%d", clip.Cfg.Width, clip.Cfg.Height),
-		Key:        "vp9-me " + clip.Fingerprint(),
+		KernelName: fmt.Sprintf("motion estimation %dx%d", spec.W, spec.H),
+		Key:        "vp9-me " + spec.Key(),
 		Fn: func(ctx *profile.Ctx) {
+			clip := spec.Coded()
 			mbCols := clip.Cfg.Width / MBSize
 			mbRows := clip.Cfg.Height / MBSize
 			for n := 1; n < len(clip.Frames); n++ {

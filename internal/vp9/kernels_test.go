@@ -7,9 +7,13 @@ import (
 	"gopim/internal/profile"
 )
 
+// testSpec is the small clip the kernel tests profile; testClip encodes
+// the same clip directly.
+var testSpec = ClipSpec{W: 192, H: 128, Frames: 4, QIndex: 28, Seed: 5}
+
 func testClip(t *testing.T) *CodedClip {
 	t.Helper()
-	clip, err := CodeClip(192, 128, 4, 28, 5)
+	clip, err := CodeClip(testSpec.W, testSpec.H, testSpec.Frames, testSpec.QIndex, testSpec.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,8 +50,7 @@ func TestCodeClipCollectsDecisions(t *testing.T) {
 }
 
 func TestSubPelKernelProfile(t *testing.T) {
-	clip := testClip(t)
-	_, phases := profile.Run(profile.SoC(), SubPelKernel(clip))
+	_, phases := profile.Run(profile.SoC(), SubPelKernel(testSpec))
 	p, ok := phases["sub-pixel interpolation"]
 	if !ok {
 		t.Fatal("missing sub-pixel interpolation phase")
@@ -58,8 +61,7 @@ func TestSubPelKernelProfile(t *testing.T) {
 }
 
 func TestDeblockKernelProfile(t *testing.T) {
-	clip := testClip(t)
-	_, phases := profile.Run(profile.SoC(), DeblockKernel(clip))
+	_, phases := profile.Run(profile.SoC(), DeblockKernel(testSpec))
 	p := phases["deblocking filter"]
 	// The filter reads more than it writes (paper: "produces strictly less
 	// output than input").
@@ -70,15 +72,14 @@ func TestDeblockKernelProfile(t *testing.T) {
 }
 
 func TestMEKernelProfile(t *testing.T) {
-	clip := testClip(t)
-	total, phases := profile.Run(profile.SoC(), MEKernel(clip))
+	total, phases := profile.Run(profile.SoC(), MEKernel(testSpec))
 	p := phases["motion estimation"]
 	if p.SIMDOps == 0 {
 		t.Fatal("ME recorded no SAD work")
 	}
 	// ME is the most compute-intensive video kernel: its SIMD density per
 	// byte moved should exceed the sub-pel kernel's.
-	_, spPhases := profile.Run(profile.SoC(), SubPelKernel(clip))
+	_, spPhases := profile.Run(profile.SoC(), SubPelKernel(testSpec))
 	sp := spPhases["sub-pixel interpolation"]
 	meDensity := float64(p.SIMDOps) / float64(p.Mem.Total()+1)
 	spDensity := float64(sp.SIMDOps) / float64(sp.Mem.Total()+1)
@@ -91,8 +92,7 @@ func TestMEKernelProfile(t *testing.T) {
 }
 
 func TestDecodeKernelPhaseShape(t *testing.T) {
-	clip := testClip(t)
-	_, phases := profile.Run(profile.SoC(), DecodeKernel(clip))
+	_, phases := profile.Run(profile.SoC(), DecodeKernel(testSpec))
 	for _, name := range DecoderPhases {
 		if _, ok := phases[name]; !ok {
 			t.Errorf("missing decoder phase %q", name)
@@ -112,8 +112,7 @@ func TestDecodeKernelPhaseShape(t *testing.T) {
 }
 
 func TestEncodeKernelPhaseShape(t *testing.T) {
-	clip := testClip(t)
-	_, phases := profile.Run(profile.SoC(), EncodeKernel(clip))
+	_, phases := profile.Run(profile.SoC(), EncodeKernel(testSpec))
 	for _, name := range EncoderPhases {
 		if _, ok := phases[name]; !ok {
 			t.Errorf("missing encoder phase %q", name)

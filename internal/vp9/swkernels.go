@@ -38,11 +38,12 @@ var EncoderPhases = []string{PhaseME, PhaseIntraPred, PhaseTransform, PhaseQuant
 // inverse transform, motion compensation (sub-pel and whole-pel), intra
 // prediction, reconstruction, and the in-loop deblocking filter, replayed
 // from the clip's real coding decisions.
-func DecodeKernel(clip *CodedClip) profile.Kernel {
+func DecodeKernel(spec ClipSpec) profile.Kernel {
 	return profile.KernelFunc{
-		KernelName: fmt.Sprintf("VP9 software decode %dx%d", clip.Cfg.Width, clip.Cfg.Height),
-		Key:        "vp9-decode " + clip.Fingerprint(),
+		KernelName: fmt.Sprintf("VP9 software decode %dx%d", spec.W, spec.H),
+		Key:        "vp9-decode " + spec.Key(),
 		Fn: func(ctx *profile.Ctx) {
+			clip := spec.Coded()
 			mbCols := clip.Cfg.Width / MBSize
 			pred := ctx.Alloc("prediction", MBSize*MBSize)
 			for n := 0; n < len(clip.Frames); n++ {
@@ -106,11 +107,12 @@ func DecodeKernel(clip *CodedClip) profile.Kernel {
 // EncodeKernel returns the instrumented software encoder: motion
 // estimation, intra prediction, transform, quantization, reconstruction and
 // deblocking, replayed from the clip's real coding decisions.
-func EncodeKernel(clip *CodedClip) profile.Kernel {
+func EncodeKernel(spec ClipSpec) profile.Kernel {
 	return profile.KernelFunc{
-		KernelName: fmt.Sprintf("VP9 software encode %dx%d", clip.Cfg.Width, clip.Cfg.Height),
-		Key:        "vp9-encode " + clip.Fingerprint(),
+		KernelName: fmt.Sprintf("VP9 software encode %dx%d", spec.W, spec.H),
+		Key:        "vp9-encode " + spec.Key(),
 		Fn: func(ctx *profile.Ctx) {
+			clip := spec.Coded()
 			mbCols := clip.Cfg.Width / MBSize
 			pred := ctx.Alloc("prediction", MBSize*MBSize)
 			for n := 0; n < len(clip.Frames); n++ {

@@ -112,6 +112,14 @@ go run ./scripts/checkreport -warm "$tmpdir/report.json"
 cmp "$tmpdir/explore.txt" "$tmpdir/explore-obs.txt"
 go run ./scripts/checkreport "$tmpdir/explore-report.json"
 
+# Warm explore gate: against the packed store, the same sweep renders
+# byte-identical output and does no kernel or codec work (checkreport
+# -warm: 100% store hits, zero kernel executions, zero codec encodes).
+"$tmpdir/pimsim" -tracestore="$store" explore -mode random -n 40 -seed 7 -report "$tmpdir/explore-warm.json" \
+	> "$tmpdir/explore-warm.txt"
+cmp "$tmpdir/explore.txt" "$tmpdir/explore-warm.txt"
+go run ./scripts/checkreport -warm "$tmpdir/explore-warm.json"
+
 # pimsimd gate (simulation-as-a-service): K concurrent identical sweep
 # submissions over HTTP against the packed store must return bytes
 # identical to `pimsim run all`, execute each kernel at most once

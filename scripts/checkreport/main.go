@@ -3,6 +3,7 @@
 // -warm — the warm-store invariants CI keeps continuously true: a run
 // served entirely from a packed persistent trace store must hit the store
 // 100% of the time and execute zero kernels (PR 6's "cold ≈ warm" claim).
+// A warm explore must not encode the evaluation clip either.
 //
 // Usage:
 //
@@ -19,7 +20,7 @@ import (
 )
 
 func main() {
-	warm := flag.Bool("warm", false, "assert warm-store invariants: 100% store hit rate, zero kernel executions")
+	warm := flag.Bool("warm", false, "assert warm-store invariants: 100% store hit rate, zero kernel executions (and, for explore, zero codec encodes)")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: checkreport [-warm] <report.json>")
@@ -94,6 +95,9 @@ func main() {
 	if rep.Derived.KernelExecutions < 0 {
 		bad("derived kernel_executions is negative: %d", rep.Derived.KernelExecutions)
 	}
+	if rep.Derived.CodecEncodes < 0 {
+		bad("derived codec_encodes is negative: %d", rep.Derived.CodecEncodes)
+	}
 	// Worker utilization must be real whenever the pool ran: par.ForEach
 	// times every path (including the single-core inline one), so a report
 	// with busy time but a zero ratio means the accounting broke again —
@@ -115,6 +119,12 @@ func main() {
 		}
 		if rep.Derived.KernelExecutions != 0 {
 			bad("warm run executed %d kernels, want 0", rep.Derived.KernelExecutions)
+		}
+		// An explore prices only the targets, whose video kernels encode
+		// the clip only when they record; `run all` still encodes it once
+		// for the hardware-codec figures.
+		if rep.Meta.Command == "explore" && rep.Derived.CodecEncodes != 0 {
+			bad("warm explore encoded %d clips, want 0", rep.Derived.CodecEncodes)
 		}
 	}
 
